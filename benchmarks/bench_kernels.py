@@ -2,7 +2,7 @@
 
 Two views:
   * micro: raw kernel calls on random integer matrices of growing size;
-  * macro: full flat enumeration, where the kernels sit in the inner loop.
+  * macro: full flat enumeration, which makes one kernel call per flat.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """

@@ -1,10 +1,11 @@
 """Exact rational linear algebra: row reduction and canonical affine subspaces.
 
-All scalars are ``fractions.Fraction`` (arbitrary-precision, always in lowest
-terms, positive denominator); floats are rejected everywhere so that
+Scalars are ints and ``fractions.Fraction`` (arbitrary precision, always in
+lowest terms, positive denominator); floats are rejected everywhere so that
 integrality questions stay decidable.  An affine subspace of C^n is stored as
-the unique reduced row-echelon form of its defining system, which makes
-set-equality of subspaces a syntactic comparison.
+the unique reduced row-echelon form of its defining system, each row scaled
+to coprime integers, which makes set-equality of subspaces a syntactic
+comparison and keeps the arithmetic on it in integers.
 
 Equation convention: a row ``(a_1, ..., a_n, c)`` encodes ``a.x + c = 0``.
 """
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from arrdmod import _kernel
@@ -119,22 +121,21 @@ def matrix_rank(matrix: Sequence[Sequence]) -> int:
     return len(_kernel.pivot_columns(rows))
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 @dataclass(frozen=True)
 class AffineSubspace:
-    """An affine subspace of C^n in canonical (RREF) coordinates.
+    """An affine subspace of C^n stored as its canonical integer system.
 
-    ``canonical_system`` is the reduced row-echelon form of the defining
-    augmented system, with zero rows dropped; it is ``None`` exactly for the
-    empty set.  Two nonempty subspaces are equal as point sets iff their
-    canonical systems are identical, so instances hash and compare by value.
+    ``rows`` is the reduced row-echelon form of the defining augmented
+    system with zero rows dropped, each row scaled to coprime integers with a
+    positive pivot entry; it is ``None`` exactly for the empty set.  That form
+    is unique, so two subspaces are equal as point sets iff their rows are
+    identical, and instances hash and compare by value.  The rational views
+    (``canonical_system``, ``base_point()``, ``direction_basis()``) are built
+    only when asked for.
     """
 
     ambient_dim: int
-    canonical_system: tuple[tuple[Fraction, ...], ...] | None
+    rows: tuple[tuple[int, ...], ...] | None
     pivots: tuple[int, ...] = ()
 
     @classmethod
@@ -164,98 +165,93 @@ class AffineSubspace:
         if ambient_dim in pivots:
             # A pivot in the constant column means the system forces 0 = 1.
             return cls.empty(ambient_dim)
-        rank = len(pivots)
-        canonical = tuple(
-            tuple(Fraction(x, denom) for x in row) for row in mat[:rank]
-        )
-        sub = cls(ambient_dim, canonical, tuple(pivots))
-        # the kernel rows are integer multiples of the canonical rows; keep
-        # them (gcd-reduced) so later intersections skip rational clearing
-        ints = []
-        for row in mat[:rank]:
-            g = gcd(*row)
-            ints.append(tuple(x // g for x in row))
-        sub.__dict__["_int_system"] = tuple(ints)
-        return sub
+        # Every pivot entry of the kernel's rows equals ``denom``, so dividing
+        # each row by its gcd, signed like ``denom``, gives the canonical row.
+        sign = 1 if denom > 0 else -1
+        canonical = []
+        for row in mat[: len(pivots)]:
+            g = sign * gcd(*row)
+            canonical.append(tuple(x // g for x in row))
+        return cls(ambient_dim, tuple(canonical), tuple(pivots))
 
     @property
     def is_empty(self) -> bool:
-        return self.canonical_system is None
+        return self.rows is None
 
     @property
     def dim(self):
         """Dimension, or None for the empty set."""
         if self.is_empty:
             return None
-        return self.ambient_dim - len(self.canonical_system)
+        return self.ambient_dim - len(self.rows)
 
     @property
     def codim(self):
         if self.is_empty:
             return None
-        return len(self.canonical_system)
+        return len(self.rows)
 
     def __repr__(self):
         if self.is_empty:
             return f"AffineSubspace.empty({self.ambient_dim})"
         return (
             f"AffineSubspace(dim={self.dim} in C^{self.ambient_dim}, "
-            f"{len(self.canonical_system)} equations)"
+            f"{len(self.rows)} equations)"
         )
 
     @cached_property
-    def _int_system(self) -> tuple[tuple[int, ...], ...]:
-        # Integer multiples of the canonical rows (seeded by _from_int_rows;
-        # recomputed only for hand-built instances).
-        return tuple(tuple(row) for row in _int_rows(self.canonical_system))
-
-    @cached_property
-    def _point(self) -> tuple[Fraction, ...]:
-        # Deterministic base point: free coordinates 0, pivots forced.
-        point = [Fraction(0)] * self.ambient_dim
-        for pivot, row in zip(self.pivots, self.canonical_system):
-            point[pivot] = -row[self.ambient_dim]
-        return tuple(point)
-
-    @cached_property
-    def _directions(self) -> tuple[tuple[Fraction, ...], ...]:
-        # One basis vector of the translation space per free coordinate.
-        free = [j for j in range(self.ambient_dim) if j not in self.pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.ambient_dim
-            vec[f] = Fraction(1)
-            for pivot, row in zip(self.pivots, self.canonical_system):
-                vec[pivot] = -row[f]
-            basis.append(tuple(vec))
-        return tuple(basis)
+    def canonical_system(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The reduced row-echelon form over Q (pivot entries 1); ``None``
+        exactly for the empty set."""
+        if self.is_empty:
+            return None
+        return tuple(
+            tuple(Fraction(x, row[p]) for x in row)
+            for p, row in zip(self.pivots, self.rows)
+        )
 
     @cached_property
     def _int_point(self) -> tuple[tuple[int, ...], int]:
-        # Base point as (numerators, positive common denominator).
-        den = lcm(*(x.denominator for x in self._point)) if self._point else 1
-        return tuple(int(x * den) for x in self._point), den
+        # Base point (free coordinates 0, pivots forced) as (numerators,
+        # positive common denominator); the denominator is the lcm of the
+        # pivot entries, so row i scales by den // pivot entry.
+        n = self.ambient_dim
+        den = lcm(*(row[p] for p, row in zip(self.pivots, self.rows)))
+        point = [0] * n
+        for p, row in zip(self.pivots, self.rows):
+            point[p] = -row[n] * (den // row[p])
+        return tuple(point), den
 
     @cached_property
     def _int_directions(self) -> tuple[tuple[int, ...], ...]:
-        # Integer rescalings of the direction basis (spans are unchanged).
-        out = []
-        for vec in self._directions:
-            den = lcm(*(x.denominator for x in vec))
-            out.append(tuple(int(x * den) for x in vec))
-        return tuple(out)
+        # One translation vector per free coordinate f: the Fraction basis
+        # vector (1 at f, pivots forced) times the base point's denominator.
+        den = self._int_point[1]
+        basis = []
+        for f in range(self.ambient_dim):
+            if f in self.pivots:
+                continue
+            vec = [0] * self.ambient_dim
+            vec[f] = den
+            for p, row in zip(self.pivots, self.rows):
+                vec[p] = -row[f] * (den // row[p])
+            basis.append(tuple(vec))
+        return tuple(basis)
 
     def base_point(self) -> tuple[Fraction, ...]:
         """The canonical point (free coordinates set to 0)."""
         if self.is_empty:
             raise ValidationError("empty subspace has no point")
-        return self._point
+        num, den = self._int_point
+        return tuple(Fraction(x, den) for x in num)
 
     def direction_basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of the translation vector space (empty for a point)."""
+        """Basis of the translation vector space (empty for a point): one
+        vector per free coordinate, 1 there and 0 at the other free ones."""
         if self.is_empty:
             raise ValidationError("empty subspace has no directions")
-        return self._directions
+        den = self._int_point[1]
+        return tuple(tuple(Fraction(x, den) for x in w) for w in self._int_directions)
 
     def contains_point(self, point: Sequence) -> bool:
         if self.is_empty:
@@ -263,9 +259,26 @@ class AffineSubspace:
         p = [as_rational(x) for x in point]
         if len(p) != self.ambient_dim:
             raise ValidationError("point/ambient dimension mismatch")
-        return all(
-            _dot(row[: self.ambient_dim], p) + row[self.ambient_dim] == 0
-            for row in self.canonical_system
+        return all(sum(map(mul, row, p)) + row[-1] == 0 for row in self.rows)
+
+    def restrict(self, normal: Sequence[int], constant: int) -> tuple[int, ...]:
+        """The integer functional ``normal.x + constant`` in this subspace's
+        own affine coordinates.
+
+        With the base point p and the direction basis w_1..w_d, the result
+        is ``(normal.w_1, ..., normal.w_d, normal.p + constant)`` times one
+        positive integer, fixed per subspace.  It is all zero exactly when
+        the functional vanishes on the subspace, and its linear part (all but
+        the last entry) is zero exactly when the functional is constant there.
+        """
+        if self.is_empty:
+            raise ValidationError("cannot restrict to the empty subspace")
+        if len(normal) != self.ambient_dim:
+            raise ValidationError("functional/ambient dimension mismatch")
+        num, den = self._int_point
+        return (
+            *(sum(map(mul, normal, w)) for w in self._int_directions),
+            sum(map(mul, normal, num)) + constant * den,
         )
 
     def annihilates(self, normal: Sequence, constant) -> bool:
@@ -273,15 +286,7 @@ class AffineSubspace:
         identically on this subspace (empty subspace: vacuously true)."""
         if self.is_empty:
             return True
-        a, c = _int_functional(normal, constant)
-        if len(a) != self.ambient_dim:
-            raise ValidationError("functional/ambient dimension mismatch")
-        p_num, p_den = self._int_point
-        if sum(x * y for x, y in zip(a, p_num)) + c * p_den != 0:
-            return False
-        return all(
-            sum(x * y for x, y in zip(a, w)) == 0 for w in self._int_directions
-        )
+        return not any(self.restrict(*_int_functional(normal, constant)))
 
     def intersect_rows(self, rows: Sequence[Sequence]) -> "AffineSubspace":
         """Intersect with the solution set of extra augmented rows."""
@@ -294,7 +299,7 @@ class AffineSubspace:
                     f"{self.ambient_dim}"
                 )
         return AffineSubspace._from_int_rows(
-            [*map(list, self._int_system), *_int_rows(rows)], self.ambient_dim
+            [*map(list, self.rows), *_int_rows(rows)], self.ambient_dim
         )
 
 

@@ -6,6 +6,14 @@ the full set of hyperplane indices containing it, so flats are keyed, ordered
 and deduplicated purely on those integer sets; order is reverse inclusion of
 point sets, which on closure sets is plain inclusion.
 
+The poset is graded by codimension (Orlik-Terao, *Arrangements of
+Hyperplanes*, 1.3 and 2.1).  For a flat F and a hyperplane H not containing
+it, F n H is empty (H parallel to F) or a flat of one dimension less, which
+covers F; every cover of F arises this way.  A second such hyperplane H'
+contains F n H exactly when H and H' restrict to proportional affine
+functionals on F.  Enumeration therefore needs no closure tests: grouping
+the restrictions to F yields F's covers and their closure sets at once.
+
 Hyperplane indices are 1-based throughout, matching report output.
 """
 
@@ -13,10 +21,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
 from arrdmod.arrangement import Arrangement
-from arrdmod.errors import PreconditionError, ResourceLimitError
+from arrdmod.errors import PreconditionError, ResourceLimitError, ValidationError
 from arrdmod.exactla import AffineSubspace
 
 DEFAULT_ENUM_LIMIT = 16
@@ -26,7 +35,12 @@ def _enum_limit(limit: int | None) -> int:
     if limit is not None:
         return limit
     env = os.environ.get("ARRDMOD_LIMIT")
-    return int(env) if env else DEFAULT_ENUM_LIMIT
+    if not env:
+        return DEFAULT_ENUM_LIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"ARRDMOD_LIMIT must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -63,18 +77,6 @@ class IntersectionPoset:
         return {f.closure_set for f in self.flats}
 
 
-def _closure_of(
-    arr: Arrangement, subspace: AffineSubspace, known: tuple[int, ...] = ()
-) -> tuple[int, ...]:
-    """Indices of hyperplanes containing ``subspace``; ``known`` holds 1-based
-    indices already certain to contain it (skipped, not re-tested)."""
-    out = set(known)
-    for i, h in enumerate(arr.hyperplanes, start=1):
-        if i not in out and h.contains(subspace):
-            out.add(i)
-    return tuple(sorted(out))
-
-
 def closure(arr: Arrangement, indices: Iterable[int]) -> tuple[int, ...]:
     """All hyperplane indices containing the intersection over ``indices``.
 
@@ -87,16 +89,22 @@ def closure(arr: Arrangement, indices: Iterable[int]) -> tuple[int, ...]:
         raise PreconditionError(
             f"hyperplanes {{{','.join(map(str, subset))}}} have empty intersection"
         )
-    return _closure_of(arr, sub)
+    return tuple(i for i, h in enumerate(arr.hyperplanes, start=1) if h.contains(sub))
 
 
 def enumerate_flats(arr: Arrangement, limit: int | None = None) -> IntersectionPoset:
-    """Enumerate all flats by a worklist over single-hyperplane refinements.
+    """Enumerate all flats and their cover edges by restricting hyperplanes.
 
-    Starting from the ambient flat, each known flat is cut with every
-    hyperplane not already containing it; nonempty cuts are keyed by their
-    closure set.  This reaches every flat: any nonempty intersection over S
-    is reachable by adding the elements of S one at a time.
+    A worklist starts from the ambient flat.  For a popped flat F, every
+    hyperplane outside F's closure set is restricted to F in integer affine
+    coordinates (:meth:`AffineSubspace.restrict`).  Restrictions with zero
+    linear part belong to hyperplanes parallel to F and are skipped.  The
+    rest are grouped by their primitive, sign-normalised integer vector:
+    each group is one flat G covering F, with closure set cl(F) plus the
+    group, and (F, G) is recorded as a cover edge whether or not G was seen
+    before.  Only a new G costs a row reduction, and a point is covered by
+    no flat.  Every flat is reached, since the poset is graded and each flat
+    lies on a chain of covers from the ambient space.
     """
     m = arr.m
     cap = _enum_limit(limit)
@@ -106,43 +114,36 @@ def enumerate_flats(arr: Arrangement, limit: int | None = None) -> IntersectionP
         )
     ambient = Flat((), AffineSubspace.ambient(arr.dim), 0)
     found: dict[tuple[int, ...], Flat] = {(): ambient}
+    edges: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     queue = [ambient]
     while queue:
         flat = queue.pop()
-        absent = [i for i in range(1, m + 1) if i not in flat.closure_set]
-        for i in absent:
-            sub = flat.subspace.intersect_rows([arr.hyperplanes[i - 1].equation_row()])
-            if sub.is_empty:
+        sub = flat.subspace
+        if sub.dim == 0:
+            continue
+        inside = set(flat.closure_set)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, h in enumerate(arr.hyperplanes, start=1):
+            if i in inside:
                 continue
-            key = _closure_of(arr, sub, (*flat.closure_set, i))
-            if key in found:
+            r = sub.restrict(h.normal, h.constant)
+            lead = next((x for x in r[:-1] if x), 0)
+            if not lead:
                 continue
-            new = Flat(key, sub, sub.codim)
-            found[key] = new
-            queue.append(new)
+            g = gcd(*r) if lead > 0 else -gcd(*r)
+            groups.setdefault(tuple(x // g for x in r), []).append(i)
+        for members in groups.values():
+            key = tuple(sorted(inside.union(members)))
+            if key not in found:
+                h = arr.hyperplanes[members[0] - 1]
+                child = sub.intersect_rows([h.equation_row()])
+                found[key] = Flat(key, child, child.codim)
+                queue.append(found[key])
+            edges.append((flat.closure_set, key))
     flats = tuple(sorted(found.values(), key=lambda f: (f.codim, f.closure_set)))
-    return IntersectionPoset(arr.dim, flats, _covers(flats))
-
-
-def _covers(flats: tuple[Flat, ...]) -> tuple[tuple[int, int], ...]:
-    # Covers of G are the maximal flats strictly below it; scanning candidates
-    # by descending codim lets already-kept covers mask everything under them.
-    sets = [frozenset(f.closure_set) for f in flats]
-    by_codim_desc = sorted(range(len(flats)), key=lambda i: -flats[i].codim)
-    covers = []
-    for g, flat_g in enumerate(flats):
-        target = sets[g]
-        kept: list[int] = []
-        for f in by_codim_desc:
-            if flats[f].codim >= flat_g.codim:
-                continue
-            if not (sets[f] < target):
-                continue
-            if any(sets[f] < sets[k] for k in kept):
-                continue
-            kept.append(f)
-            covers.append((f, g))
-    return tuple(sorted(covers))
+    index = {f.closure_set: k for k, f in enumerate(flats)}
+    covers = tuple(sorted((index[lo], index[up]) for lo, up in edges))
+    return IntersectionPoset(arr.dim, flats, covers)
 
 
 def hasse_dot(poset: IntersectionPoset) -> str:

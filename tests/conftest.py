@@ -37,6 +37,31 @@ def five_lines() -> Arrangement:
     )
 
 
+def braid(n: int) -> Arrangement:
+    """Braid arrangement A_{n-1}: x_i - x_j for i < j, in C^n."""
+    rows = []
+    for i, j in combinations(range(n), 2):
+        normal = [0] * n
+        normal[i], normal[j] = 1, -1
+        rows.append((normal, 0))
+    return Arrangement.from_coefficients(n, rows)
+
+
+def coxeter_b(n: int) -> Arrangement:
+    """Coxeter arrangement B_n: x_i - x_j, x_i + x_j for i < j, and x_i."""
+    rows = []
+    for i, j in combinations(range(n), 2):
+        for sign in (-1, 1):
+            normal = [0] * n
+            normal[i], normal[j] = 1, sign
+            rows.append((normal, 0))
+    for i in range(n):
+        normal = [0] * n
+        normal[i] = 1
+        rows.append((normal, 0))
+    return Arrangement.from_coefficients(n, rows)
+
+
 def corpus() -> list[tuple[str, Arrangement]]:
     """Fixed small arrangements, degenerate cases included."""
     return [

@@ -185,6 +185,13 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_non_integer_env_limit_is_diagnosed(self, write_doc, monkeypatch):
+        monkeypatch.setenv("ARRDMOD_LIMIT", "abc")
+        code, out, err = execute(["flats", "--input", write_doc(TRIANGLE)])
+        assert code == 2 and out == ""
+        assert err.startswith("arrdmod: ") and err.count("\n") == 1
+        assert "ARRDMOD_LIMIT" in err and "'abc'" in err
+
     def test_unwritable_dot_is_io_error(self, write_doc, tmp_path):
         code, out, err = execute(
             [
