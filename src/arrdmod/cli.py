@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from arrdmod.arrangement import Arrangement, classify
 from arrdmod.errors import ArrdmodError, ValidationError
@@ -306,7 +307,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every call."""
     parser = _Parser(prog="arrdmod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name in COMMANDS:
@@ -335,13 +338,24 @@ def execute(argv) -> tuple[int, str, str]:
             raw = fh.read()
     except OSError as exc:
         return 1, "", f"arrdmod: {exc}\n"
+    except UnicodeDecodeError as exc:
+        return 2, "", f"arrdmod: input is not UTF-8: {exc}\n"
     try:
-        doc = parse_input(json.loads(raw))
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return 2, "", f"arrdmod: malformed JSON: {exc}\n"
+    except RecursionError:
+        return 2, "", "arrdmod: malformed JSON: nested too deeply\n"
+    except ValueError:
+        # json's only other ValueError: an integer literal beyond the int
+        # string-conversion limit
+        digits = sys.get_int_max_str_digits()
+        return 2, "", f"arrdmod: a JSON number has more than {digits} digits\n"
+    try:
+        doc = parse_input(data)
         report: dict = {"command": args.command, "input": doc.render()}
         out: list[str] = []
         _run_command(args, doc, out, report)
-    except json.JSONDecodeError as exc:
-        return 2, "", f"arrdmod: malformed JSON: {exc}\n"
     except ArrdmodError as exc:
         return 2, "", f"arrdmod: {exc}\n"
     except OSError as exc:

@@ -13,6 +13,7 @@ Equation convention: a row ``(a_1, ..., a_n, c)`` encodes ``a.x + c = 0``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,6 +54,12 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError as exc:
         raise ValidationError(f"malformed rational {text!r} (zero denominator)") from exc
+    except ValueError:
+        # int() refuses strings beyond the int string-conversion limit
+        raise ValidationError(
+            f"rational has more than {sys.get_int_max_str_digits()} digits "
+            "in its numerator or denominator"
+        ) from None
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -31,16 +31,25 @@ from arrdmod.exactla import AffineSubspace
 DEFAULT_ENUM_LIMIT = 16
 
 
-def _enum_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get("ARRDMOD_LIMIT")
-    if not env:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"ARRDMOD_LIMIT must be an integer, got {env!r}") from None
+def check_enum_limit(m: int, limit: int | None) -> None:
+    """Refuse an arrangement of more than ``limit`` hyperplanes.
+
+    ``None`` falls back to ``ARRDMOD_LIMIT``, then to ``DEFAULT_ENUM_LIMIT``.
+    Flat enumeration and the plane point pass share this cap.
+    """
+    cap = limit
+    if cap is None:
+        env = os.environ.get("ARRDMOD_LIMIT")
+        try:
+            cap = int(env) if env else DEFAULT_ENUM_LIMIT
+        except ValueError:
+            raise ValidationError(
+                f"ARRDMOD_LIMIT must be an integer, got {env!r}"
+            ) from None
+    if m > cap:
+        raise ResourceLimitError(
+            f"flat enumeration limited to m <= {cap} hyperplanes, got {m}"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,12 +115,7 @@ def enumerate_flats(arr: Arrangement, limit: int | None = None) -> IntersectionP
     no flat.  Every flat is reached, since the poset is graded and each flat
     lies on a chain of covers from the ambient space.
     """
-    m = arr.m
-    cap = _enum_limit(limit)
-    if m > cap:
-        raise ResourceLimitError(
-            f"flat enumeration limited to m <= {cap} hyperplanes, got {m}"
-        )
+    check_enum_limit(arr.m, limit)
     ambient = Flat((), AffineSubspace.ambient(arr.dim), 0)
     found: dict[tuple[int, ...], Flat] = {(): ambient}
     edges: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

@@ -8,6 +8,14 @@ of the exceptional divisors (row-wise integer combinations of beta), and a
 beta-free certificate whose simultaneous non-integrality proves the twisted
 module irreducible.  In higher dimension the matrix must be supplied by the
 caller; it is consumed as a sufficient test only.
+
+In the plane every point of the intersection poset is the meet of two
+non-parallel lines, and two lines meet in at most one point.  One pass over
+all pairs of lines therefore finds every point together with the full set
+of lines through it: Cramer's rule gives the meet as an integer triple, and
+grouping the pairs on their reduced triples yields the closure sets.  No
+flat enumeration is needed for blow-up centers, coverage checks or double
+points.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from arrdmod.arrangement import Arrangement, classify
@@ -26,7 +35,7 @@ from arrdmod.errors import (
 )
 from arrdmod.exactla import format_rational, is_integral
 from arrdmod.factors import ExponentVector, FactorReport, _check_beta
-from arrdmod.poset import enumerate_flats
+from arrdmod.poset import check_enum_limit
 
 
 class ResolutionSource(Enum):
@@ -144,6 +153,37 @@ class Verdict:
     reason: str | None = None
 
 
+def _plane_points(
+    arr: Arrangement, limit: int | None
+) -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """Every point of a line arrangement, from one pass over line pairs.
+
+    Lines ``a x + b y + c = 0`` with ``det = a_i b_j - a_j b_i == 0`` are
+    parallel (distinct lines never coincide); any other pair meets in
+    ``(b_i c_j - b_j c_i, c_i a_j - c_j a_i) / det``, keyed as the
+    gcd-reduced integer triple ``(x, y, d)`` with ``d > 0``.  Returns the
+    closure set (sorted 1-based lines through the point) mapped to that
+    triple, in closure-set order, which is the poset's order on points:
+    pairs are visited in lexicographic order, so a point is first met at its
+    two smallest lines, and no two points share two lines.  The hyperplane
+    cap is the one flat enumeration applies.
+    """
+    check_enum_limit(arr.m, limit)
+    lines = arr.equation_rows()
+    through: dict[tuple[int, int, int], set[int]] = {}
+    for i, (ai, bi, ci) in enumerate(lines, start=1):
+        for j, (aj, bj, cj) in enumerate(lines[i:], start=i + 1):
+            det = ai * bj - aj * bi
+            if not det:
+                continue
+            x = bi * cj - bj * ci
+            y = ci * aj - cj * ai
+            g = gcd(x, y, det) if det > 0 else -gcd(x, y, det)
+            key = (x // g, y // g, det // g)
+            through.setdefault(key, set()).update((i, j))
+    return {tuple(sorted(s)): key for key, s in through.items()}
+
+
 def plane_resolution(arr: Arrangement, limit: int | None = None) -> ResolutionData:
     """Blow-up data for a line arrangement: one center per point on >= 3 lines.
 
@@ -156,12 +196,11 @@ def plane_resolution(arr: Arrangement, limit: int | None = None) -> ResolutionDa
             f"plane blow-ups need ambient dimension 2, got {arr.dim}; "
             "supply resolution data instead"
         )
-    centers = []
-    for flat in enumerate_flats(arr, limit).flats:
-        if flat.codim == 2 and len(flat.closure_set) >= 3:
-            centers.append(
-                BlowupCenter(flat.subspace.base_point(), flat.closure_set)
-            )
+    centers = [
+        BlowupCenter((Fraction(x, d), Fraction(y, d)), lines)
+        for lines, (x, y, d) in _plane_points(arr, limit).items()
+        if len(lines) >= 3
+    ]
     rows = tuple(
         tuple(1 if i in c.incident else 0 for i in range(1, arr.m + 1))
         for c in centers
@@ -191,15 +230,13 @@ def _check_plane_coverage(
     constraints), but a missing center would certify too much.
     """
     rows = set(res.multiplicities)
-    for flat in enumerate_flats(arr, limit).flats:
-        if flat.codim == 2 and len(flat.closure_set) >= 3:
-            indicator = tuple(
-                1 if i in flat.closure_set else 0 for i in range(1, arr.m + 1)
-            )
+    for lines in _plane_points(arr, limit):
+        if len(lines) >= 3:
+            indicator = tuple(1 if i in lines else 0 for i in range(1, arr.m + 1))
             if indicator not in rows:
                 raise PreconditionError(
                     f"point on hyperplanes "
-                    f"{{{','.join(map(str, flat.closure_set))}}} has no "
+                    f"{{{','.join(map(str, lines))}}} has no "
                     "matching multiplicity row; the data does not cover a "
                     "resolution of this arrangement"
                 )
@@ -208,17 +245,13 @@ def _check_plane_coverage(
 def _plane_incidences(
     arr: Arrangement, res: ResolutionData, limit: int | None
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Split the point flats into blown-up centers and untouched crossings.
+    """Split the points into blown-up centers and untouched crossings.
 
     Returns (per-row incident index sets, closure sets of surviving double
     points).  Validates that the rows look like plane point blow-ups and
     that every point on >= 3 lines is covered by a row.
     """
-    points = {
-        f.closure_set: f
-        for f in enumerate_flats(arr, limit).flats
-        if f.codim == 2
-    }
+    points = _plane_points(arr, limit)
     if res.source is ResolutionSource.PLANE_BLOWUP:
         incident = [c.incident for c in res.centers]
     else:

@@ -37,6 +37,16 @@ def five_lines() -> Arrangement:
     )
 
 
+def grid(c: int) -> Arrangement:
+    """Lines x = i, y = j (0 <= i, j < c) and x - y = d for |d| <= c - 2:
+    4c - 3 lines, with every lattice point of the grid on three of them
+    except the two corners (0, c-1) and (c-1, 0)."""
+    rows = [((1, 0), -i) for i in range(c)]
+    rows += [((0, 1), -j) for j in range(c)]
+    rows += [((1, -1), -d) for d in range(-(c - 2), c - 1)]
+    return Arrangement.from_coefficients(2, rows)
+
+
 def braid(n: int) -> Arrangement:
     """Braid arrangement A_{n-1}: x_i - x_j for i < j, in C^n."""
     rows = []

@@ -192,6 +192,37 @@ class TestExitCodes:
         assert err.startswith("arrdmod: ") and err.count("\n") == 1
         assert "ARRDMOD_LIMIT" in err and "'abc'" in err
 
+    def test_rational_beyond_digit_limit(self, write_doc):
+        doc = json.loads(json.dumps(TRIANGLE))
+        doc["hyperplanes"][0]["coeffs"][0] = "1" * 5000
+        code, out, err = execute(["classify", "--input", write_doc(doc)])
+        assert code == 2 and out == ""
+        assert err.startswith("arrdmod: hyperplanes[0].coeffs[0]: ")
+        assert err.count("\n") == 1 and "digits" in err
+
+    def test_json_number_beyond_digit_limit(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"dim": %s, "hyperplanes": []}' % ("1" * 5000))
+        code, out, err = execute(["classify", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("arrdmod: ") and err.count("\n") == 1
+        assert "digits" in err
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = execute(["classify", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("arrdmod: malformed JSON") and err.count("\n") == 1
+
+    def test_non_utf8_input(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff")
+        code, out, err = execute(["classify", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("arrdmod: ") and err.count("\n") == 1
+        assert "UTF-8" in err
+
     def test_unwritable_dot_is_io_error(self, write_doc, tmp_path):
         code, out, err = execute(
             [
@@ -206,6 +237,20 @@ class TestExitCodes:
 
 
 class TestStability:
+    def test_parse_failure_leaves_later_calls_alone(self, write_doc, tmp_path):
+        # the parser is built once per process and shared between calls, so
+        # options of a refused argv must not reach the next one
+        path = write_doc(TRIANGLE)
+        dot = tmp_path / "out.dot"
+        code, out, err = execute(
+            ["flats", "--input", path, "--dot", str(dot), "--format", "xml"]
+        )
+        assert code == 2 and out == "" and "xml" in err
+        code, out, err = execute(["flats", "--input", path])
+        assert (code, err) == (0, "")
+        assert out.startswith("7 flats:") and "DOT" not in out
+        assert not dot.exists()
+
     def test_json_reports_byte_identical(self, write_doc):
         path = write_doc(TRIANGLE)
         first = execute(["factors", "--input", path, "--format", "json"])

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrdmod import (
+    AffineSubspace,
     Arrangement,
     ExponentVector,
+    Hyperplane,
     MissingResolutionError,
     PreconditionError,
     ResolutionData,
@@ -20,12 +26,16 @@ from arrdmod import (
     certificate,
     classify,
     decomposition_factors,
+    enumerate_flats,
     irreducibility_verdict,
     plane_resolution,
     pullback_exponents,
     pullback_factors,
 )
-from conftest import concurrent, corpus, five_lines, random_beta, triangle
+from arrdmod import poset
+from arrdmod.cli import execute
+from arrdmod.resolution import _plane_points
+from conftest import concurrent, corpus, five_lines, grid, random_beta, triangle
 
 F = Fraction
 beta = ExponentVector.from_values
@@ -275,3 +285,129 @@ class TestCertificates:
         assert values == (F(1, 2), F(1, 2), F(1, 2), F(3, 2))
         assert cert.certifies(beta(("1/2", "1/2", "1/2")))
         assert not cert.certifies(beta(("1/3", "1/3", "1/3")))
+
+
+@st.composite
+def line_arrangements(draw):
+    """Line arrangements with coefficients in -2..2, so that parallel
+    classes, pencils and concurrent triples all occur."""
+    coeff = st.integers(-2, 2)
+    triples = draw(
+        st.lists(st.tuples(coeff, coeff, coeff).filter(lambda t: t[0] or t[1]), max_size=9)
+    )
+    lines = {Hyperplane.from_coefficients((a, b), c): None for a, b, c in triples}
+    return Arrangement(2, tuple(lines))
+
+
+def write_arrangement(tmp_path, arr: Arrangement, resolution=None) -> str:
+    doc = {
+        "dim": arr.dim,
+        "hyperplanes": [
+            {"coeffs": [str(a) for a in h.normal], "constant": str(h.constant)}
+            for h in arr.hyperplanes
+        ],
+        "beta": [f"1/{i + 2}" for i in range(arr.m)],
+    }
+    if resolution is not None:
+        doc["resolution"] = {"multiplicities": [[str(r) for r in row] for row in resolution]}
+    path = tmp_path / f"lines{arr.m}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestPlanePoints:
+    """The pairwise pass finds exactly the poset's points."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(line_arrangements())
+    def test_matches_poset_points(self, arr):
+        points = [f for f in enumerate_flats(arr).flats if f.codim == 2]
+        found = _plane_points(arr, None)
+        assert list(found) == [f.closure_set for f in points]
+        for flat in points:
+            x, y, d = found[flat.closure_set]
+            assert d > 0
+            assert (Fraction(x, d), Fraction(y, d)) == flat.subspace.base_point()
+        centers = plane_resolution(arr).centers
+        assert [(c.point, c.incident) for c in centers] == [
+            (f.subspace.base_point(), f.closure_set)
+            for f in points
+            if len(f.closure_set) >= 3
+        ]
+
+    def test_keeps_the_enumeration_cap(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ARRDMOD_LIMIT", raising=False)
+        path = write_arrangement(tmp_path, concurrent(17))
+        code, out, err = execute(["resolve", "--input", path])
+        assert (code, out) == (2, "")
+        assert err == "arrdmod: flat enumeration limited to m <= 16 hyperplanes, got 17\n"
+        monkeypatch.setenv("ARRDMOD_LIMIT", "17")
+        assert execute(["resolve", "--input", path])[0] == 0
+
+    def test_pencil_of_200_lines(self, tmp_path):
+        path = write_arrangement(tmp_path, concurrent(200))
+        code, out, err = execute(
+            ["resolve", "--input", path, "--format", "json", "--limit", "200"]
+        )
+        assert code == 0, err
+        centers = json.loads(out)["resolution"]["centers"]
+        assert centers == [{"point": ["0", "0"], "incident": list(range(1, 201))}]
+
+    def test_grid_of_197_lines(self, tmp_path):
+        c = 50
+        arr = grid(c)
+        assert arr.m == 4 * c - 3 == 197
+        code, out, err = execute(
+            ["resolve", "--input", write_arrangement(tmp_path, arr), "--limit", "200"]
+        )
+        assert code == 0, err
+        header, *lines = out.splitlines()
+        assert header == f"{c * c - 2} blow-up center(s)"
+        # x = i is line i+1, y = j is line c+j+1, x - y = d is line 3c+d-1
+        expected = {
+            f"  ({i}, {j}) on {{{i + 1},{c + j + 1},{3 * c + i - j - 1}}}"
+            for i in range(c)
+            for j in range(c)
+            if abs(i - j) <= c - 2
+        }
+        assert len(expected) == c * c - 2
+        assert len(lines) == len(set(lines)) and set(lines) == expected
+
+
+class TestWorkBudget:
+    """Plane commands read points from the pairwise pass: no flat
+    enumeration and no subspace intersection."""
+
+    @pytest.mark.parametrize("which", ["five_lines", "grid4"])
+    @pytest.mark.parametrize("user_resolution", [False, True])
+    def test_plane_commands_enumerate_nothing(
+        self, which, user_resolution, tmp_path, monkeypatch
+    ):
+        arr = five_lines() if which == "five_lines" else grid(4)
+        rows = None
+        if user_resolution:
+            rows = plane_resolution(arr).multiplicities
+        path = write_arrangement(tmp_path, arr, rows)
+        calls = {"enumerate_flats": 0, "intersect_rows": 0}
+        enumerate_original = poset.enumerate_flats
+        intersect_rows = AffineSubspace.intersect_rows
+
+        def counting_enumerate(*args, **kwargs):
+            calls["enumerate_flats"] += 1
+            return enumerate_original(*args, **kwargs)
+
+        def counting_intersect(self, rows):
+            calls["intersect_rows"] += 1
+            return intersect_rows(self, rows)
+
+        # every module that bound the function by name sees the counter
+        for name, module in list(sys.modules.items()):
+            if name.startswith("arrdmod") and (
+                getattr(module, "enumerate_flats", None) is enumerate_original
+            ):
+                monkeypatch.setattr(module, "enumerate_flats", counting_enumerate)
+        monkeypatch.setattr(AffineSubspace, "intersect_rows", counting_intersect)
+        for command in ("resolve", "pullback", "certificate", "verdict"):
+            code, out, err = execute([command, "--input", path])
+            assert code == 0, (command, err)
+        assert calls == {"enumerate_flats": 0, "intersect_rows": 0}
