@@ -7,7 +7,6 @@ plane blow-up resolution data, and irreducibility verdicts backed by
 non-resonance certificates.
 """
 
-from arrdmod._kernel import backend as kernel_backend
 from arrdmod.arrangement import (
     Arrangement,
     Classification,
@@ -106,7 +105,6 @@ __all__ = [
     "intersect",
     "irreducibility_verdict",
     "is_integral",
-    "kernel_backend",
     "matrix_rank",
     "parse_rational",
     "plane_resolution",

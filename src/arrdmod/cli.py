@@ -68,8 +68,8 @@ class InputDocument:
             "dim": self.arrangement.dim,
             "hyperplanes": [
                 {
-                    "coeffs": [str(a) for a in h.normal],
-                    "constant": str(h.constant),
+                    "coeffs": [format_rational(a) for a in h.normal],
+                    "constant": format_rational(h.constant),
                 }
                 for h in self.arrangement.hyperplanes
             ],

@@ -63,11 +63,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render in lowest terms: ``"p"`` when integral, else ``"p/q"``."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render in lowest terms: ``"p"`` when integral, else ``"p/q"``.
+
+    A value beyond the int string-conversion limit is refused with a
+    ``ValidationError`` rather than the interpreter's ``ValueError``.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ValidationError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits "
+            "in its numerator or denominator"
+        ) from None
 
 
 def is_integral(value: Fraction | int) -> bool:

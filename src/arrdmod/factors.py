@@ -46,7 +46,7 @@ class ExponentVector:
         if len(coefficients) != len(self.entries):
             raise ValidationError("coefficient/exponent length mismatch")
         return sum(
-            (c * b for c, b in zip(coefficients, self.entries)), Fraction(0)
+            (c * b for c, b in zip(coefficients, self.entries) if c), Fraction(0)
         )
 
     def total(self) -> Fraction:

@@ -360,8 +360,13 @@ def certificate(
                 )
         if arr.dim == 2:
             _check_plane_coverage(arr, res, limit)
-    forms = {tuple(1 if j == i else 0 for j in range(arr.m)) for i in range(arr.m)}
-    forms.update(tuple(row) for row in res.multiplicities)
+    return _certificate_forms(arr.m, res.multiplicities)
+
+
+def _certificate_forms(m: int, rows: Sequence[Sequence[int]]) -> Certificate:
+    """The ``m`` unit forms plus ``rows``, deduplicated and sorted."""
+    forms = {tuple(1 if j == i else 0 for j in range(m)) for i in range(m)}
+    forms.update(tuple(row) for row in rows)
     return Certificate(tuple(sorted(forms)))
 
 
@@ -393,10 +398,12 @@ def irreducibility_verdict(
         )
     klass = classify(arr)
     if klass.normal_crossing:
+        # A normal crossing arrangement needs no blow-up (in the plane: no
+        # point lies on three lines), so its certificate is the unit forms.
         return Verdict(
             VerdictStatus.IRREDUCIBLE,
             rule="normal-crossing",
-            certificate=certificate(arr, None, limit),
+            certificate=_certificate_forms(arr.m, ()),
         )
     if res is None and arr.dim == 2:
         res = plane_resolution(arr, limit)

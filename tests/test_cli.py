@@ -208,6 +208,29 @@ class TestExitCodes:
         assert err.startswith("arrdmod: ") and err.count("\n") == 1
         assert "digits" in err
 
+    def test_canonical_coefficient_beyond_digit_limit(self, write_doc):
+        # pairwise coprime 2500-digit denominators are accepted on input, but
+        # the canonical integer coefficients have about 5000 digits
+        a, b, c = (str(10**2499 + k) for k in (1, 3, 7))
+        doc = {
+            "dim": 2,
+            "hyperplanes": [{"coeffs": [f"1/{a}", f"1/{b}"], "constant": f"1/{c}"}],
+        }
+        code, out, err = execute(["classify", "--input", write_doc(doc)])
+        assert code == 2 and out == ""
+        assert err.startswith("arrdmod: ") and err.count("\n") == 1
+        assert "digits" in err
+
+    def test_exceptional_exponent_beyond_digit_limit(self, write_doc):
+        # each exponent has a 4300-digit denominator; their sum, the
+        # exponent of the blown-up origin, has about 12900
+        doc = json.loads(json.dumps(CONCURRENT3))
+        doc["beta"] = [f"1/{10**4299 + k}" for k in (1, 3, 7)]
+        code, out, err = execute(["pullback", "--input", write_doc(doc)])
+        assert code == 2 and out == ""
+        assert err.startswith("arrdmod: ") and err.count("\n") == 1
+        assert "digits" in err
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)

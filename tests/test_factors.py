@@ -71,6 +71,22 @@ class TestContracts:
                 assert (flat.closure_set in reported) == qualifies
 
 
+class TestWorkBudget:
+    def test_combination_skips_zero_coefficients(self):
+        multiplications = []
+
+        class Counting(Fraction):
+            def __rmul__(self, other):
+                multiplications.append(other)
+                return Fraction(self) * other
+
+        b = ExponentVector((Counting(1, 2), Counting(1, 3), Counting(1, 5)))
+        assert b.combination((0, 2, 0)) == F(2, 3)
+        assert multiplications == [2]
+        assert b.combination((0, 0, 0)) == 0
+        assert multiplications == [2]
+
+
 class TestFormulas:
     @pytest.mark.parametrize(
         "n,k,expected", [(2, 3, 7), (2, 0, 1), (3, 5, 26), (1, 4, 5), (4, 2, 4)]

@@ -344,6 +344,15 @@ class TestPlanePoints:
         monkeypatch.setenv("ARRDMOD_LIMIT", "17")
         assert execute(["resolve", "--input", path])[0] == 0
 
+    def test_normal_crossing_verdict_needs_no_point_pass(self, tmp_path, monkeypatch):
+        # the tangents t x - y - t^2 = 0 to a parabola: no three concurrent,
+        # so the verdict answers past the enumeration cap without --limit
+        monkeypatch.delenv("ARRDMOD_LIMIT", raising=False)
+        arr = Arrangement.from_coefficients(2, [((t, -1), -t * t) for t in range(1, 18)])
+        code, out, err = execute(["verdict", "--input", write_arrangement(tmp_path, arr)])
+        assert code == 0, err
+        assert out.startswith("verdict: IRREDUCIBLE\nrule: normal-crossing\n")
+
     def test_pencil_of_200_lines(self, tmp_path):
         path = write_arrangement(tmp_path, concurrent(200))
         code, out, err = execute(
