@@ -25,7 +25,6 @@ from arrdmod.errors import (
 )
 from arrdmod.exactla import (
     AffineSubspace,
-    Rational,
     as_rational,
     format_rational,
     intersect,
@@ -82,7 +81,6 @@ __all__ = [
     "IntersectionPoset",
     "MissingResolutionError",
     "PreconditionError",
-    "Rational",
     "ResolutionData",
     "ResolutionSource",
     "ResourceLimitError",

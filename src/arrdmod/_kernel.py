@@ -1,15 +1,24 @@
-"""Integer row-reduction kernels for exact linear algebra.
+"""Integer kernels for exact linear algebra.
 
-Both kernels run fraction-free (Bareiss-style) elimination over Python's
-arbitrary-precision integers: every division below is exact, so no rounding
-can ever occur.  ``rref_scaled`` gives the full reduced form that affine
-subspaces are stored in; ``pivot_columns`` runs forward elimination only,
-for callers that need just the rank and column profile.
+The two row reductions run fraction-free (Bareiss-style) elimination over
+Python's arbitrary-precision integers: every division below is exact, so no
+rounding can ever occur.  ``rref_scaled`` gives the full reduced form that
+affine subspaces are stored in; ``pivot_columns`` runs forward elimination
+only, for callers that need just the rank and column profile.
 
-Matrices are lists of equal-length lists of int.  Inputs are never mutated.
+``primitive_key`` and ``cut`` work on single affine functionals instead:
+``primitive_key`` names the hyperplane a row defines, and ``cut`` restricts
+rows to the hyperplane of another row, one elimination step with no
+division.  Classification and flat enumeration walk flats with them.
+
+Matrices are lists of equal-length lists of int, and a row ``(l_1, ..., l_d,
+c)`` is the functional ``l.t + c`` on coordinates t_1..t_d.  Inputs are
+never mutated.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def rref_scaled(rows):
@@ -106,3 +115,40 @@ def pivot_columns(rows):
         pivots.append(col)
         cur += 1
     return pivots
+
+
+def primitive_key(row):
+    """The hyperplane of ``row`` as a canonical tuple, or ``None``.
+
+    The row divided by the gcd of its entries, signed so that its first
+    nonzero linear entry (any entry but the last) is positive.  Two rows
+    with nonzero linear parts define the same hyperplane exactly when their
+    keys are equal.  ``None`` means the linear part is zero: the functional
+    is constant, so its zero set is empty or everything.
+    """
+    lead = next((x for x in row[:-1] if x), 0)
+    if not lead:
+        return None
+    g = gcd(*row) if lead > 0 else -gcd(*row)
+    return tuple(x // g for x in row)
+
+
+def cut(k, rows):
+    """``rows`` restricted to the hyperplane of ``k``, as primitive keys.
+
+    ``k`` and every row of ``rows`` are integer rows on the same
+    coordinates t_1..t_d, and k's linear part is nonzero.  With p the first
+    column where k_p != 0, the hyperplane k = 0 takes the coordinates t_q,
+    q != p, and a row r becomes ``k_p*r - r_p*k`` with column p dropped: r
+    with t_p eliminated, scaled by k_p.  Each result is reduced by
+    :func:`primitive_key`, so it may be ``None``.
+    """
+    p = next(q for q, x in enumerate(k) if x)
+    kp = k[p]
+    out = []
+    for r in rows:
+        rp = r[p]
+        s = [kp * a - rp * b for a, b in zip(r, k)]
+        del s[p]
+        out.append(primitive_key(s))
+    return out

@@ -9,9 +9,9 @@ normal crossing; central means a common point exists.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -19,7 +19,7 @@ from arrdmod import _kernel
 from arrdmod.errors import ResourceLimitError, ValidationError
 from arrdmod.exactla import AffineSubspace, as_rational
 
-DEFAULT_SUBSET_LIMIT = 20
+DEFAULT_ENUM_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -141,39 +141,87 @@ class Classification:
     common_intersection: AffineSubspace
 
 
-def classify(arr: Arrangement, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> Classification:
-    """Classify an arrangement by explicit subset enumeration.
+def check_enum_limit(m: int, limit: int | None) -> None:
+    """Refuse an arrangement of more than ``limit`` hyperplanes.
+
+    This is the library's one cap, and it guards only work that can grow
+    exponentially with m: flat enumeration, and :func:`classify` in
+    dimension >= 3.  Passes over pairs of hyperplanes (classification and
+    the point pass in the plane) are O(m^2) and never capped.  ``None``
+    falls back to ``ARRDMOD_LIMIT``, then to ``DEFAULT_ENUM_LIMIT``.
+    """
+    cap = limit
+    if cap is None:
+        env = os.environ.get("ARRDMOD_LIMIT")
+        try:
+            cap = int(env) if env else DEFAULT_ENUM_LIMIT
+        except ValueError:
+            raise ValidationError(
+                f"ARRDMOD_LIMIT must be an integer, got {env!r}"
+            ) from None
+    if m > cap:
+        raise ResourceLimitError(
+            f"flat enumeration limited to m <= {cap} hyperplanes, got {m}"
+        )
+
+
+def classify(arr: Arrangement, limit: int | None = None) -> Classification:
+    """Classify an arrangement by a depth-first walk over restricted rows.
 
     General position: every p <= n of the hyperplanes meet in dimension
     n - p, and every n+1 of them miss each other.  Normal crossing: every
-    subset with a nonempty intersection has linearly independent normals
-    (a failure always shows up on some subset of size <= n+1, so the scan
-    stops there).
+    subset with a nonempty intersection has linearly independent normals.
+
+    A node of the walk is a subset S whose hyperplanes are independent and
+    meet in a flat F_S of dimension d >= 1.  It holds only the rows of the
+    hyperplanes j > max(S), restricted to F_S in F_S's own coordinates and
+    keyed by :func:`_kernel.primitive_key`; the root is S = {} with the
+    canonical equation rows.  At a node:
+
+    - a row with zero linear part is a hyperplane parallel to F_S, so
+      S + {j} is an empty intersection of at most n hyperplanes: general
+      position fails;
+    - two equal keys j < k are hyperplanes meeting F_S in the same flat, so
+      S + {j, k} is dependent with a nonempty intersection: both general
+      position and normal crossing fail, and the walk stops;
+    - otherwise, when d >= 2, each remaining row j spawns the child
+      S + {j} with the rows i > j cut by row j (:func:`_kernel.cut`).
+      Children that would be points are not built.
+
+    No node holds an all-zero row (a hyperplane containing F_S): if row j
+    vanishes on F_S, with S = S' + {k}, then rows k and j are proportional
+    at the parent S', where the walk has already stopped.
+
+    Completeness.  Sort a dependent set U with a nonempty intersection and
+    take its first dependent prefix u_1..u_i (i >= 2).  The nodes
+    {u_1..u_t}, t <= i - 2, all exist, since every proper prefix is
+    independent with a nonempty intersection of dimension >= 1, and at
+    {u_1..u_(i-2)} rows u_(i-1) and u_i restrict to the same hyperplane.  An
+    empty intersection of at most n hyperplanes shows up, once normal
+    crossing holds, as a zero linear part at the node of its longest
+    nonempty prefix.  So no node needs the rows j < max(S), no point needs a
+    node, and the walk decides both properties.  In the plane it is the
+    pairwise pass over lines, O(m^2); in dimension >= 3 the number of nodes
+    can grow exponentially with m, so there the hyperplane count is capped
+    by :func:`check_enum_limit`.  Central means the common intersection,
+    one row reduction, is nonempty.
     """
-    n, m = arr.dim, arr.m
-    if m > subset_limit:
-        raise ResourceLimitError(
-            f"classification scans subsets; m={m} exceeds the limit {subset_limit}"
-        )
-    rows = arr.equation_rows()
-    general = True
-    crossing = True
-    for p in range(1, min(m, n + 1) + 1):
-        for subset in combinations(range(m), p):
-            pivots = _kernel.pivot_columns([list(rows[i]) for i in subset])
-            nonempty = n not in pivots
-            coeff_rank = len(pivots) - (0 if nonempty else 1)
-            if p <= n:
-                if not (nonempty and coeff_rank == p):
-                    general = False
-                if nonempty and coeff_rank < p:
-                    crossing = False
-            else:
-                if nonempty:
-                    general = False
-                    crossing = False
-        if not (general or crossing):
+    if arr.dim >= 3:
+        check_enum_limit(arr.m, limit)
+    general = crossing = True
+    nodes = [arr.equation_rows()]
+    while nodes:
+        rows = nodes.pop()
+        live = [r for r in rows if r is not None]
+        if len(live) < len(rows):
+            general = False
+        if len(set(live)) < len(live):
+            general = crossing = False
             break
+        if live and len(live[0]) > 2:
+            nodes.extend(
+                _kernel.cut(k, live[t + 1 :]) for t, k in enumerate(live[:-1])
+            )
     common = arr.common_intersection()
     return Classification(general, crossing, not common.is_empty, common)
 

@@ -214,7 +214,7 @@ def _run_command(args, doc: InputDocument, out: list[str], report: dict) -> None
     arr = doc.arrangement
     limit = args.limit
     if args.command == "classify":
-        klass = classify(arr)
+        klass = classify(arr, limit)
         report["classification"] = _classification_json(klass)
         out.append(f"general position: {'yes' if klass.general_position else 'no'}")
         out.append(f"normal crossing:  {'yes' if klass.normal_crossing else 'no'}")
@@ -241,7 +241,7 @@ def _run_command(args, doc: InputDocument, out: list[str], report: dict) -> None
             out.append(f"  support {flat.label()}")
     elif args.command == "count":
         beta = _require_beta(doc)
-        if not classify(arr).general_position:
+        if not classify(arr, limit).general_position:
             raise ValidationError(
                 "count applies the closed-form formulas, which require a "
                 "general position arrangement; use `factors` instead"
@@ -258,7 +258,7 @@ def _run_command(args, doc: InputDocument, out: list[str], report: dict) -> None
         out.append(f"factor count: {count_general_position(arr.dim, k)}")
         out.append(f"flat count:   {flat_count_general_position(arr.dim, arr.m)}")
     elif args.command == "resolve":
-        res = plane_resolution(arr, limit)
+        res = plane_resolution(arr)
         report["resolution"] = _resolution_json(res)
         out.append(f"{len(res.centers)} blow-up center(s)")
         for c in res.centers:
@@ -266,9 +266,9 @@ def _run_command(args, doc: InputDocument, out: list[str], report: dict) -> None
             out.append(f"  ({point}) on {{{','.join(map(str, c.incident))}}}")
     elif args.command == "pullback":
         beta = _require_beta(doc)
-        res = doc.resolution if doc.resolution is not None else plane_resolution(arr, limit)
+        res = doc.resolution if doc.resolution is not None else plane_resolution(arr)
         extended = pullback_exponents(res, beta)
-        rep = pullback_factors(arr, beta, res, limit)
+        rep = pullback_factors(arr, beta, res)
         report["pullback"] = {
             "strict_exponents": [format_rational(b) for b in extended.strict],
             "exceptional_exponents": [
@@ -320,7 +320,10 @@ def _build_parser() -> _Parser:
             "--limit",
             type=int,
             default=None,
-            help="hyperplane-count cap for enumerations (ARRDMOD_LIMIT also works)",
+            help=(
+                "hyperplane-count cap for flat enumeration and for classification"
+                " in dimension >= 3 (ARRDMOD_LIMIT also works)"
+            ),
         )
         if name == "flats":
             p.add_argument("--dot", default=None, help="write the Hasse diagram here")

@@ -24,8 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 from arrdmod import _kernel
 from arrdmod.errors import ValidationError
 
-Rational = Fraction
-
 _EXACT_TYPES = (int, Fraction)
 
 

@@ -80,7 +80,7 @@ def decomposition_factors(
     first (see the resolution module / the ``resolve`` command).
     """
     _check_beta(arr, beta)
-    if not classify(arr).normal_crossing:
+    if not classify(arr, limit).normal_crossing:
         raise PreconditionError(
             "factors requires a normal crossing arrangement; run `resolve`"
         )

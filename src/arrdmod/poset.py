@@ -19,38 +19,13 @@ Hyperplane indices are 1-based throughout, matching report output.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable
 
-from arrdmod.arrangement import Arrangement
-from arrdmod.errors import PreconditionError, ResourceLimitError, ValidationError
+from arrdmod import _kernel
+from arrdmod.arrangement import Arrangement, check_enum_limit
+from arrdmod.errors import PreconditionError
 from arrdmod.exactla import AffineSubspace
-
-DEFAULT_ENUM_LIMIT = 16
-
-
-def check_enum_limit(m: int, limit: int | None) -> None:
-    """Refuse an arrangement of more than ``limit`` hyperplanes.
-
-    ``None`` falls back to ``ARRDMOD_LIMIT``, then to ``DEFAULT_ENUM_LIMIT``.
-    Flat enumeration and the plane point pass share this cap.
-    """
-    cap = limit
-    if cap is None:
-        env = os.environ.get("ARRDMOD_LIMIT")
-        try:
-            cap = int(env) if env else DEFAULT_ENUM_LIMIT
-        except ValueError:
-            raise ValidationError(
-                f"ARRDMOD_LIMIT must be an integer, got {env!r}"
-            ) from None
-    if m > cap:
-        raise ResourceLimitError(
-            f"flat enumeration limited to m <= {cap} hyperplanes, got {m}"
-        )
-
 
 @dataclass(frozen=True)
 class Flat:
@@ -130,12 +105,9 @@ def enumerate_flats(arr: Arrangement, limit: int | None = None) -> IntersectionP
         for i, h in enumerate(arr.hyperplanes, start=1):
             if i in inside:
                 continue
-            r = sub.restrict(h.normal, h.constant)
-            lead = next((x for x in r[:-1] if x), 0)
-            if not lead:
-                continue
-            g = gcd(*r) if lead > 0 else -gcd(*r)
-            groups.setdefault(tuple(x // g for x in r), []).append(i)
+            row = _kernel.primitive_key(sub.restrict(h.normal, h.constant))
+            if row is not None:
+                groups.setdefault(row, []).append(i)
         for members in groups.values():
             key = tuple(sorted(inside.union(members)))
             if key not in found:

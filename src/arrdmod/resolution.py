@@ -35,7 +35,6 @@ from arrdmod.errors import (
 )
 from arrdmod.exactla import format_rational, is_integral
 from arrdmod.factors import ExponentVector, FactorReport, _check_beta
-from arrdmod.poset import check_enum_limit
 
 
 class ResolutionSource(Enum):
@@ -80,12 +79,13 @@ class ResolutionData:
                     raise ValidationError(
                         f"multiplicities[{j}] must hold nonnegative integers"
                     )
+            if not any(entries):
+                raise ValidationError(
+                    f"multiplicities[{j}] is all zero; an exceptional divisor "
+                    "lies over at least one hyperplane"
+                )
             rows.append(entries)
         return cls((), tuple(rows), ResolutionSource.USER_SUPPLIED)
-
-    @property
-    def exceptional_count(self) -> int:
-        return len(self.multiplicities)
 
     def row_supports(self) -> tuple[tuple[int, ...], ...]:
         """Per row, the 1-based indices with nonzero multiplicity."""
@@ -153,9 +153,7 @@ class Verdict:
     reason: str | None = None
 
 
-def _plane_points(
-    arr: Arrangement, limit: int | None
-) -> dict[tuple[int, ...], tuple[int, int, int]]:
+def _plane_points(arr: Arrangement) -> dict[tuple[int, ...], tuple[int, int, int]]:
     """Every point of a line arrangement, from one pass over line pairs.
 
     Lines ``a x + b y + c = 0`` with ``det = a_i b_j - a_j b_i == 0`` are
@@ -165,10 +163,9 @@ def _plane_points(
     closure set (sorted 1-based lines through the point) mapped to that
     triple, in closure-set order, which is the poset's order on points:
     pairs are visited in lexicographic order, so a point is first met at its
-    two smallest lines, and no two points share two lines.  The hyperplane
-    cap is the one flat enumeration applies.
+    two smallest lines, and no two points share two lines.  The pass is
+    O(m^2), so it takes no hyperplane cap.
     """
-    check_enum_limit(arr.m, limit)
     lines = arr.equation_rows()
     through: dict[tuple[int, int, int], set[int]] = {}
     for i, (ai, bi, ci) in enumerate(lines, start=1):
@@ -184,7 +181,7 @@ def _plane_points(
     return {tuple(sorted(s)): key for key, s in through.items()}
 
 
-def plane_resolution(arr: Arrangement, limit: int | None = None) -> ResolutionData:
+def plane_resolution(arr: Arrangement) -> ResolutionData:
     """Blow-up data for a line arrangement: one center per point on >= 3 lines.
 
     Points on exactly two lines are already crossings and stay put.  Each
@@ -198,7 +195,7 @@ def plane_resolution(arr: Arrangement, limit: int | None = None) -> ResolutionDa
         )
     centers = [
         BlowupCenter((Fraction(x, d), Fraction(y, d)), lines)
-        for lines, (x, y, d) in _plane_points(arr, limit).items()
+        for lines, (x, y, d) in _plane_points(arr).items()
         if len(lines) >= 3
     ]
     rows = tuple(
@@ -221,16 +218,14 @@ def pullback_exponents(res: ResolutionData, beta: ExponentVector) -> ExtendedExp
     )
 
 
-def _check_plane_coverage(
-    arr: Arrangement, res: ResolutionData, limit: int | None
-) -> None:
+def _check_plane_coverage(arr: Arrangement, res: ResolutionData) -> None:
     """Require the indicator row of every point on >= 3 lines to be present.
 
     Extra rows are harmless for certificates and verdicts (they only add
     constraints), but a missing center would certify too much.
     """
     rows = set(res.multiplicities)
-    for lines in _plane_points(arr, limit):
+    for lines in _plane_points(arr):
         if len(lines) >= 3:
             indicator = tuple(1 if i in lines else 0 for i in range(1, arr.m + 1))
             if indicator not in rows:
@@ -243,7 +238,7 @@ def _check_plane_coverage(
 
 
 def _plane_incidences(
-    arr: Arrangement, res: ResolutionData, limit: int | None
+    arr: Arrangement, res: ResolutionData
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Split the points into blown-up centers and untouched crossings.
 
@@ -251,7 +246,7 @@ def _plane_incidences(
     points).  Validates that the rows look like plane point blow-ups and
     that every point on >= 3 lines is covered by a row.
     """
-    points = _plane_points(arr, limit)
+    points = _plane_points(arr)
     if res.source is ResolutionSource.PLANE_BLOWUP:
         incident = [c.incident for c in res.centers]
     else:
@@ -283,7 +278,6 @@ def pullback_factors(
     arr: Arrangement,
     beta: ExponentVector,
     res: ResolutionData | None = None,
-    limit: int | None = None,
 ) -> FactorReport:
     """Factor supports of the pulled-back module on the blown-up plane.
 
@@ -300,9 +294,9 @@ def pullback_factors(
         )
     _check_beta(arr, beta)
     if res is None:
-        res = plane_resolution(arr, limit)
+        res = plane_resolution(arr)
     extended = pullback_exponents(res, beta)
-    incident, survivors = _plane_incidences(arr, res, limit)
+    incident, survivors = _plane_incidences(arr, res)
 
     strict_int = {i for i in range(1, arr.m + 1) if is_integral(extended.strict[i - 1])}
     exc_int = {
@@ -344,8 +338,8 @@ def certificate(
     """
     if res is None:
         if arr.dim == 2:
-            res = plane_resolution(arr, limit)
-        elif classify(arr).normal_crossing:
+            res = plane_resolution(arr)
+        elif classify(arr, limit).normal_crossing:
             res = ResolutionData((), (), ResolutionSource.USER_SUPPLIED)
         else:
             raise MissingResolutionError(
@@ -359,7 +353,7 @@ def certificate(
                     f"multiplicity row of width {len(row)} against {arr.m} hyperplanes"
                 )
         if arr.dim == 2:
-            _check_plane_coverage(arr, res, limit)
+            _check_plane_coverage(arr, res)
     return _certificate_forms(arr.m, res.multiplicities)
 
 
@@ -396,7 +390,7 @@ def irreducibility_verdict(
                 f"V({arr.hyperplanes[i - 1]}) is an integer"
             ),
         )
-    klass = classify(arr)
+    klass = classify(arr, limit)
     if klass.normal_crossing:
         # A normal crossing arrangement needs no blow-up (in the plane: no
         # point lies on three lines), so its certificate is the unit forms.
@@ -406,9 +400,9 @@ def irreducibility_verdict(
             certificate=_certificate_forms(arr.m, ()),
         )
     if res is None and arr.dim == 2:
-        res = plane_resolution(arr, limit)
+        res = plane_resolution(arr)
     elif res is not None and arr.dim == 2:
-        _check_plane_coverage(arr, res, limit)
+        _check_plane_coverage(arr, res)
     if res is None:
         return Verdict(
             VerdictStatus.INCONCLUSIVE,

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from arrdmod import _kernel
 from arrdmod import (
     AffineSubspace,
     Arrangement,
@@ -181,6 +182,39 @@ def transformed(arr: Arrangement, u, v) -> Arrangement:
         )
         rows.append((normal, constant))
     return Arrangement.from_coefficients(arr.dim, rows)
+
+
+def scan_classification(arr: Arrangement) -> tuple[bool, bool, bool]:
+    """(general position, normal crossing, central) by the subset scan.
+
+    General position: every p <= n of the hyperplanes meet in dimension
+    n - p, and every n+1 of them miss each other.  Normal crossing: every
+    subset with a nonempty intersection has linearly independent normals (a
+    failure always shows up on some subset of size <= n+1, so the scan stops
+    there).  Each subset is ranked by its own row reduction.
+    """
+    n, m = arr.dim, arr.m
+    rows = arr.equation_rows()
+    general = True
+    crossing = True
+    for p in range(1, min(m, n + 1) + 1):
+        for subset in combinations(range(m), p):
+            pivots = _kernel.pivot_columns([list(rows[i]) for i in subset])
+            nonempty = n not in pivots
+            coeff_rank = len(pivots) - (0 if nonempty else 1)
+            if p <= n:
+                if not (nonempty and coeff_rank == p):
+                    general = False
+                if nonempty and coeff_rank < p:
+                    crossing = False
+            else:
+                if nonempty:
+                    general = False
+                    crossing = False
+        if not (general or crossing):
+            break
+    central = not AffineSubspace.from_rows(rows, n).is_empty
+    return general, crossing, central
 
 
 def brute_force_closure_sets(arr: Arrangement) -> set[tuple[int, ...]]:

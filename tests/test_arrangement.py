@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrdmod import (
     Arrangement,
@@ -16,10 +18,14 @@ from arrdmod import (
     essentialize,
 )
 from conftest import (
+    braid,
     concurrent,
     corpus,
+    coxeter_b,
+    grid,
     random_affine_map,
     random_general_position,
+    scan_classification,
     transformed,
     triangle,
 )
@@ -123,9 +129,71 @@ class TestClassify:
                 assert arr.m <= arr.dim, name
 
     def test_subset_limit(self):
-        arr = triangle()
+        # the enumeration cap binds in dimension >= 3, never in the plane
         with pytest.raises(ResourceLimitError):
-            classify(arr, subset_limit=2)
+            classify(braid(4), limit=2)
+        assert not classify(concurrent(5), limit=2).normal_crossing
+
+
+@st.composite
+def arrangements(draw):
+    """Affine arrangements in C^1..C^4 with m <= 8 drawn hyperplanes and
+    coefficients bounded by 1, 2 or 9: degenerate and generic cases both."""
+    n = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([1, 2, 9]))
+    coeff = st.integers(-bound, bound)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.lists(coeff, min_size=n, max_size=n), coeff).filter(
+                lambda p: any(p[0])
+            ),
+            max_size=8,
+        )
+    )
+    hyperplanes = {Hyperplane.from_coefficients(a, c): None for a, c in pairs}
+    return Arrangement(n, tuple(hyperplanes))
+
+
+def families():
+    """Classical arrangements and edge cases for the scan oracle."""
+    out = list(corpus())
+    out += [(f"braid{n}", braid(n)) for n in range(2, 7)]
+    out += [(f"b{n}", coxeter_b(n)) for n in range(2, 6)]
+    out += [(f"pencil{m}", concurrent(m)) for m in (3, 4, 7)]
+    out += [(f"grid{c}", grid(c)) for c in (2, 3)]
+    out += [
+        ("parallel5", Arrangement.from_coefficients(2, [((1, 0), -c) for c in range(5)])),
+        (
+            "parallel_planes",
+            Arrangement.from_coefficients(
+                3, [((1, 1, 0), -c) for c in range(3)] + [((0, 0, 1), 0)]
+            ),
+        ),
+        ("points", Arrangement.from_coefficients(1, [((k,), 1) for k in range(1, 6)])),
+        ("line_empty", Arrangement.from_coefficients(1, [])),
+        ("space_empty", Arrangement.from_coefficients(4, [])),
+        ("space_single", Arrangement.from_coefficients(4, [((1, 2, 0, -1), 3)])),
+    ]
+    return out
+
+
+class TestWalkAgainstScan:
+    """The restricted-row walk against the subset scan it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrangements())
+    def test_random_arrangements(self, arr):
+        k = classify(arr)
+        assert (k.general_position, k.normal_crossing, k.central) == (
+            scan_classification(arr)
+        )
+
+    @pytest.mark.parametrize("arr", [pytest.param(a, id=name) for name, a in families()])
+    def test_families(self, arr):
+        k = classify(arr, limit=arr.m)
+        assert (k.general_position, k.normal_crossing, k.central) == (
+            scan_classification(arr)
+        )
 
 
 class TestEssentialize:

@@ -206,6 +206,22 @@ class TestVerdicts:
         assert stuck.status is VerdictStatus.INCONCLUSIVE
         assert stuck.rule == "integral-resolution-sum"
 
+    def test_zero_multiplicity_row_refused(self, tmp_path):
+        # no exceptional divisor lies over no hyperplane
+        with pytest.raises(ValidationError, match="all zero"):
+            ResolutionData.user_supplied([[1, 1, 1], [0, 0, 0]])
+        arr = Arrangement.from_coefficients(
+            3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((1, 1, 0), 0)]
+        )
+        path = write_arrangement(tmp_path, arr, [[0, 0, 0]])
+        for command in ("verdict", "certificate", "pullback"):
+            code, out, err = execute([command, "--input", path])
+            assert (code, out) == (2, "")
+            assert err == (
+                "arrdmod: multiplicities[0] is all zero; an exceptional "
+                "divisor lies over at least one hyperplane\n"
+            )
+
     def test_two_triple_points_integral_sum_inconclusive(self):
         # E1 carries 1/3+1/3+1/3 = 1; not concurrent, so no rule decides
         v = irreducibility_verdict(
@@ -322,7 +338,7 @@ class TestPlanePoints:
     @given(line_arrangements())
     def test_matches_poset_points(self, arr):
         points = [f for f in enumerate_flats(arr).flats if f.codim == 2]
-        found = _plane_points(arr, None)
+        found = _plane_points(arr)
         assert list(found) == [f.closure_set for f in points]
         for flat in points:
             x, y, d = found[flat.closure_set]
@@ -336,13 +352,21 @@ class TestPlanePoints:
         ]
 
     def test_keeps_the_enumeration_cap(self, tmp_path, monkeypatch):
+        # the pair pass is uncapped; classification in C^3 keeps the cap
         monkeypatch.delenv("ARRDMOD_LIMIT", raising=False)
-        path = write_arrangement(tmp_path, concurrent(17))
-        code, out, err = execute(["resolve", "--input", path])
+        code, out, err = execute(
+            ["resolve", "--input", write_arrangement(tmp_path, concurrent(17))]
+        )
+        assert code == 0, err
+        planes = Arrangement.from_coefficients(
+            3, [((1, t, t * t), 0) for t in range(1, 18)]
+        )
+        path = write_arrangement(tmp_path, planes)
+        code, out, err = execute(["classify", "--input", path])
         assert (code, out) == (2, "")
         assert err == "arrdmod: flat enumeration limited to m <= 16 hyperplanes, got 17\n"
         monkeypatch.setenv("ARRDMOD_LIMIT", "17")
-        assert execute(["resolve", "--input", path])[0] == 0
+        assert execute(["classify", "--input", path])[0] == 0
 
     def test_normal_crossing_verdict_needs_no_point_pass(self, tmp_path, monkeypatch):
         # the tangents t x - y - t^2 = 0 to a parabola: no three concurrent,
@@ -361,6 +385,23 @@ class TestPlanePoints:
         assert code == 0, err
         centers = json.loads(out)["resolution"]["centers"]
         assert centers == [{"point": ["0", "0"], "incident": list(range(1, 201))}]
+
+    @pytest.mark.parametrize("which", ["pencil", "grid"])
+    def test_large_classify_and_verdict(self, which, tmp_path, monkeypatch):
+        # the plane walk is O(m^2): classify needs no flag past 16 lines
+        monkeypatch.delenv("ARRDMOD_LIMIT", raising=False)
+        arr = concurrent(200) if which == "pencil" else grid(50)
+        path = write_arrangement(tmp_path, arr)
+        code, out, err = execute(["classify", "--input", path])
+        assert code == 0, err
+        central = "yes" if which == "pencil" else "no"
+        assert out.splitlines() == [
+            "general position: no",
+            "normal crossing:  no",
+            f"central:          {central}",
+        ]
+        code, out, err = execute(["verdict", "--input", path, "--limit", "200"])
+        assert code == 0, err
 
     def test_grid_of_197_lines(self, tmp_path):
         c = 50
